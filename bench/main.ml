@@ -38,8 +38,6 @@
      ablation    design-choice ablations A1-A4 (see EXPERIMENTS.md)
      sim-zoo     literature managers (meshing, compact-fit,
                  cost-oblivious, polylog-realloc) vs the paper's bounds
-     serve       daemon saturation: N concurrent clients against one
-                 pc-serve worker pool, crash-free vs crash-injected
 *)
 
 open Pc_core
@@ -47,7 +45,7 @@ open Bechamel
 module Spec = Pc.Exec.Spec
 module Engine = Pc.Exec.Engine
 module Cache = Pc.Exec.Cache
-module Json = Pc.Exec.Json
+module Json = Pc_json.Json
 
 let line fmt = Fmt.pr (fmt ^^ "@.")
 
@@ -542,91 +540,6 @@ let sim_zoo opts =
     zoo_managers
 
 (* ------------------------------------------------------------------ *)
-(* Serve saturation: N clients vs one daemon                          *)
-
-(* The service benchmark the robustness work is judged by: a fixed
-   batch of submissions pushed through one in-process daemon by 1, 4
-   and 16 concurrent clients, once crash-free and once with injected
-   worker kills, so BENCH_results.json tracks both raw throughput and
-   the cost of surviving (supervision restarts + client backoff)
-   PR-over-PR. Each row gets a fresh state dir — no result reuse
-   across rows — and a deliberately small admission queue so the
-   16-client row actually exercises backpressure. *)
-
-let serve_records : Json.t list ref = ref []
-
-let serve_saturation opts =
-  let m, churn = if opts.small then (1 lsl 9, 300) else (1 lsl 12, 1_500) in
-  let total_subs = 16 and jobs_per = 3 and workers = 4 and queue_cap = 24 in
-  let spec seed =
-    Spec.random_churn ~seed ~churn ~c:8.0 ~manager:"first-fit" ~m
-      ~dist:(Pc.Random_workload.Pow2 { lo_log = 0; hi_log = 4 })
-      ~target_live:(m / 2) ()
-  in
-  line
-    "=== Serve saturation: N clients vs one daemon (%d workers, queue cap \
-     %d, %d submissions x %d jobs) ==="
-    workers queue_cap total_subs jobs_per;
-  line "%8s %6s | %8s %9s %9s %9s %8s %9s %7s" "clients" "crash" "wall_s"
-    "jobs/s" "p50_ms" "p99_ms" "backoff" "restarts" "failed";
-  List.iter
-    (fun clients ->
-      List.iter
-        (fun crash ->
-          let dir = Filename.temp_dir "pc-serve-bench" "" in
-          let socket = Filename.concat dir "pc.sock" in
-          let faults =
-            if crash then
-              Some (Pc.Exec.Faults.make ~seed:1 ~wkill:0.25 ~max_transient:2 ())
-            else None
-          in
-          let server =
-            Pc.Serve.Server.start
-              (Pc.Serve.Server.config ~workers ~queue_cap ~backoff:0.005
-                 ?faults ~socket
-                 ~state_dir:(Filename.concat dir "state")
-                 ())
-          in
-          let submissions =
-            Array.init total_subs (fun s ->
-                ( Printf.sprintf "load-%d" (s mod 4),
-                  List.init jobs_per (fun k -> spec ((s * jobs_per) + k)),
-                  0 ))
-          in
-          let r = Pc.Serve.Client.load ~socket ~clients ~submissions in
-          Pc.Serve.Server.drain server;
-          (match Pc.Serve.Server.wait server with
-          | Pc.Serve.Server.Drained -> ()
-          | Pc.Serve.Server.Killed why ->
-              line "    [serve: daemon killed: %s]" why;
-              unrecovered := true);
-          if r.Pc.Serve.Client.failed > 0 then unrecovered := true;
-          let jps = float_of_int r.jobs /. Float.max r.wall 1e-9 in
-          let pct p = 1000. *. Pc.Serve.Client.percentile r.latencies p in
-          line "%8d %6b | %8.3f %9.1f %9.1f %9.1f %8d %9d %7d" clients crash
-            r.wall jps (pct 0.5) (pct 0.99) r.submit_retries r.restarts_seen
-            r.failed;
-          serve_records :=
-            Json.Obj
-              [
-                ("clients", Json.Int clients);
-                ("crash", Json.Bool crash);
-                ("workers", Json.Int workers);
-                ("queue_cap", Json.Int queue_cap);
-                ("jobs", Json.Int r.jobs);
-                ("failed", Json.Int r.failed);
-                ("wall_s", Json.Float r.wall);
-                ("jobs_per_s", Json.Float jps);
-                ("p50_ms", Json.Float (pct 0.5));
-                ("p99_ms", Json.Float (pct 0.99));
-                ("submit_retries", Json.Int r.submit_retries);
-                ("restarts", Json.Int r.restarts_seen);
-              ]
-            :: !serve_records)
-        [ false; true ])
-    [ 1; 4; 16 ]
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel timings: one Test per experiment generator                *)
 
 let tests () =
@@ -730,7 +643,6 @@ let write_json opts =
               Json.List (List.map (fun s -> Json.String s) opts.selected) );
             ("sweeps", Json.List (List.rev !sweep_records));
             ("zoo", Json.List (List.rev !zoo_records));
-            ("serve", Json.List (List.rev !serve_records));
             ("timings", Json.List (List.rev !timing_records));
             ( "telemetry",
               if opts.telemetry = Pc.Telemetry.Sink.Off then Json.Null
@@ -880,7 +792,6 @@ let main () =
   if wants "sim-fig1" then sim_fig1 opts;
   if wants "ablation" then ablation opts;
   if wants "sim-zoo" then sim_zoo opts;
-  if wants "serve" then serve_saturation opts;
   if (not opts.no_timing) && (opts.selected = [] || wants "timings") then
     timings ();
   write_json opts;

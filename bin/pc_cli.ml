@@ -156,7 +156,7 @@ let with_telemetry level out f =
            ~finally:(fun () -> close_out oc)
            (fun () ->
              output_string oc
-               (Pc.Exec.Json.to_string (Pc.Telemetry.Snapshot.to_json snap));
+               (Pc_json.Json.to_string (Pc.Telemetry.Snapshot.to_json snap));
              output_char oc '\n');
          Fmt.epr "telemetry snapshot written to %s@." path
      | None -> Fmt.pr "@.%a@." (fun ppf -> Pc.Telemetry.Report.pp ppf) snap);
@@ -267,7 +267,7 @@ let simulate_cmd =
     let mgr = Pc.Managers.construct_exn manager in
     let emit o =
       if json then
-        Fmt.pr "%s@." (Pc.Exec.Json.to_string (Pc.Exec.Cache.outcome_to_json o))
+        Fmt.pr "%s@." (Pc_json.Json.to_string (Pc.Exec.Cache.outcome_to_json o))
       else Fmt.pr "%a@." Pc.Runner.pp_outcome o
     in
     (* --broken-budget models a manager whose compaction-budget debit
@@ -508,16 +508,17 @@ let sweep_cmd =
               | Some d -> d
               | None -> Pc.Exec.Cache.default_dir ())
         in
-        (* One writer per journal: a second `pc sweep` (or a daemon
-           replaying the same sweep) on this state fails fast instead
-           of interleaving journal appends. *)
+        (* One writer per journal: a second `pc sweep` of the same
+           sweep on this state fails fast instead of interleaving
+           journal appends. *)
         let lock =
           Pc.Exec.Lockfile.acquire
             (Checkpoint.path ~dir:journal_dir specs ^ ".lock")
         in
         let cp = Checkpoint.open_ ~resume ~dir:journal_dir specs in
+        (* On stderr, so --json keeps stdout a single JSON document. *)
         if resume && Checkpoint.loaded cp > 0 then
-          Fmt.pr "resuming: %d of %d outcome(s) journaled in %s@."
+          Fmt.epr "resuming: %d of %d outcome(s) journaled in %s@."
             (Checkpoint.loaded cp) (List.length specs) (Checkpoint.path_of cp);
         (Some lock, Some cp)
       end
@@ -538,7 +539,7 @@ let sweep_cmd =
       else "run"
     in
     if json then begin
-      let module Json = Pc.Exec.Json in
+      let module Json = Pc_json.Json in
       let points =
         List.map2
           (fun c (r : Engine.job_result) ->
@@ -740,9 +741,9 @@ let report_cmd =
           exit Pc.Audit.Report.exit_usage
     in
     let parsed =
-      match Pc.Exec.Json.of_string text with
+      match Pc_json.Json.of_string text with
       | j -> Pc.Telemetry.Snapshot.of_json j
-      | exception Pc.Exec.Json.Parse_error msg -> Error ("bad JSON: " ^ msg)
+      | exception Pc_json.Json.Parse_error msg -> Error ("bad JSON: " ^ msg)
     in
     match parsed with
     | Error msg ->
@@ -783,404 +784,6 @@ let report_cmd =
     Term.(const run $ file_arg $ top_arg $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
-(* pc serve / submit / health / drain / load                          *)
-
-let faults_of_opt = function
-  | None -> None
-  | Some spec -> (
-      match Pc.Exec.Faults.of_string spec with
-      | Ok f -> Some f
-      | Error msg ->
-          Fmt.epr "bad --inject-faults spec: %s@." msg;
-          exit Pc.Audit.Report.exit_usage)
-
-let default_state_dir = "_pc_serve"
-let default_socket state_dir = Filename.concat state_dir "pc.sock"
-
-let state_dir_arg =
-  Arg.(
-    value & opt string default_state_dir
-    & info [ "state-dir" ] ~docv:"DIR"
-        ~doc:
-          "The daemon's state directory: per-tenant result caches, \
-           checkpoint journals and submission manifests live under \
-           $(docv)/tenants/, guarded by $(docv)/serve.lock.")
-
-let socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:
-          "Unix-domain socket to listen on (default: \
-           $(b,<state-dir>/pc.sock)).")
-
-let client_socket_arg =
-  Arg.(
-    value
-    & opt string (default_socket default_state_dir)
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"The daemon's Unix-domain socket.")
-
-let tenant_arg =
-  Arg.(
-    value & opt string "default"
-    & info [ "tenant" ] ~docv:"NAME"
-        ~doc:
-          "Tenant to submit as; each tenant gets its own result cache, \
-           journals and quota under the daemon's state dir.")
-
-(* Client commands exit with the usage code when the daemon is not
-   there to talk to — a wrong --socket is a command-line problem. *)
-let with_client socket f =
-  match Pc.Serve.Client.with_conn socket f with
-  | v -> v
-  | exception Unix.Unix_error ((ECONNREFUSED | ENOENT) as e, _, _) ->
-      Fmt.epr "pc: cannot connect to %s: %s (is `pc serve` running?)@." socket
-        (Unix.error_message e);
-      exit Pc.Audit.Report.exit_usage
-
-let serve_cmd =
-  let run socket state_dir workers queue_cap tenant_cap inject_faults
-      telemetry telemetry_out =
-    let socket =
-      match socket with Some s -> s | None -> default_socket state_dir
-    in
-    let faults = faults_of_opt inject_faults in
-    let cfg =
-      Pc.Serve.Server.config ~workers ~queue_cap ~tenant_cap ?faults ~socket
-        ~state_dir ()
-    in
-    with_telemetry telemetry telemetry_out @@ fun () ->
-    let t = Pc.Serve.Server.start cfg in
-    (* The handler only flips an atomic; the accept loop's next tick
-       starts the actual drain outside signal context. *)
-    let graceful =
-      Sys.Signal_handle (fun _ -> Pc.Serve.Server.request_drain t)
-    in
-    Sys.set_signal Sys.sigterm graceful;
-    Sys.set_signal Sys.sigint graceful;
-    Fmt.pr "pc serve: listening on %s (state %s, %d worker(s))@." socket
-      state_dir workers;
-    match Pc.Serve.Server.wait t with
-    | Pc.Serve.Server.Drained -> Fmt.pr "pc serve: drained cleanly@."
-    | Pc.Serve.Server.Killed why ->
-        Fmt.epr "pc serve: killed: %s@." why;
-        exit Pc.Audit.Report.exit_internal
-  in
-  let workers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:"Worker domains executing jobs (each restarts on death).")
-  in
-  let queue_cap_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:
-            "Admission bound on unfinished jobs across all tenants; \
-             beyond it submissions get $(b,retry-after) backpressure.")
-  in
-  let tenant_cap_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "tenant-cap" ] ~docv:"N"
-          ~doc:"The same bound per tenant (quota isolation).")
-  in
-  let inject_faults_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject-faults" ] ~docv:"SPEC"
-          ~doc:
-            "Chaos mode shared by all workers, e.g. \
-             $(b,wkill=0.3,seed=7) to SIGKILL workers mid-job (the \
-             supervisor restarts them) or $(b,kill-after=20) to kill \
-             the whole daemon after 20 jobs (restart recovers).")
-  in
-  Cmd.v
-    (Cmd.info "serve" ~exits
-       ~doc:
-         "Run the sweep daemon: accept job submissions from many clients \
-          over a Unix-domain socket, execute them on a supervised \
-          (self-restarting) worker pool with per-tenant caches, journals \
-          and quotas, survive kills via checkpoint replay, and drain \
-          gracefully on SIGTERM or $(b,pc drain).")
-    Term.(
-      const run $ socket_arg $ state_dir_arg $ workers_arg $ queue_cap_arg
-      $ tenant_cap_arg $ inject_faults_arg $ telemetry_arg $ telemetry_out_arg)
-
-let submit_cmd =
-  let run socket tenant manager m n cs retries timeout local json =
-    let module Spec = Pc.Exec.Spec in
-    let specs = List.map (fun c -> Spec.pf ~c ~manager ~m ~n ()) cs in
-    let with_server k =
-      if not local then begin
-        (* Fail fast (usage code) when there is no daemon at all; once
-           one was there, submit_and_wait rides out restarts. *)
-        (match Pc.Serve.Client.connect socket with
-        | conn ->
-            Pc.Serve.Client.close conn;
-            ()
-        | exception Unix.Unix_error ((ECONNREFUSED | ENOENT) as e, _, _) ->
-            Fmt.epr "pc: cannot connect to %s: %s (is `pc serve` running?)@."
-              socket (Unix.error_message e);
-            exit Pc.Audit.Report.exit_usage);
-        k socket
-      end
-      else begin
-        (* --local: an ephemeral in-process daemon on a fresh temp
-           state dir — nothing cached, nothing resumed, so the JSON
-           output is deterministic (the golden test relies on it). *)
-        let dir = Filename.temp_dir "pc-serve-local" "" in
-        let socket = Filename.concat dir "pc.sock" in
-        let cfg =
-          Pc.Serve.Server.config ~workers:2 ~socket
-            ~state_dir:(Filename.concat dir "state") ()
-        in
-        let t = Pc.Serve.Server.start cfg in
-        Fun.protect
-          ~finally:(fun () ->
-            Pc.Serve.Server.drain t;
-            ignore (Pc.Serve.Server.wait t))
-          (fun () -> k socket)
-      end
-    in
-    with_server @@ fun socket ->
-    let r =
-      Pc.Serve.Client.submit_and_wait ~socket ~tenant ~retries ?timeout specs
-    in
-    let id, total, known = (r.Pc.Serve.Client.id, r.total, r.known) in
-    let state, progress = (r.state, r.progress) in
-    let results = r.outcomes in
-    let violations =
-      List.filter
-        (fun (_, r) ->
-          match r with
-          | Error msg ->
-              String.length msg >= 16
-              && String.sub msg 0 16 = "oracle violation"
-          | Ok _ -> false)
-        results
-    in
-    if json then begin
-      let module Json = Pc.Exec.Json in
-      let jresults =
-        List.map
-          (fun (key, r) ->
-            Json.Obj
-              (("key", Json.String key)
-              ::
-              (match r with
-              | Ok o -> [ ("outcome", Pc.Exec.Cache.outcome_to_json o) ]
-              | Error msg -> [ ("error", Json.String msg) ])))
-          results
-      in
-      Fmt.pr "%s@."
-        (Json.to_string
-           (Json.Obj
-              [
-                ("id", Json.String id);
-                ("tenant", Json.String tenant);
-                ("state", Json.String state);
-                ("total", Json.Int total);
-                ("failed", Json.Int progress.Pc.Serve.Protocol.failed);
-                ("results", Json.List jresults);
-              ]))
-    end
-    else begin
-      Fmt.pr "submission %s (%s): %s, %d job(s), %d failed%s@." id tenant
-        state total progress.Pc.Serve.Protocol.failed
-        (if known then " [deduplicated]" else "");
-      List.iter
-        (fun (key, r) ->
-          match r with
-          | Ok (o : Pc.Runner.outcome) ->
-              Fmt.pr "  %-48s HS/M=%.3f compliant=%b@." key o.hs_over_m
-                o.compliant
-          | Error msg -> Fmt.pr "  %-48s FAILED: %s@." key msg)
-        results
-    end;
-    if violations <> [] then exit Pc.Audit.Report.exit_violation
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Per-job transient-failure retry budget on the server.")
-  in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-attempt wall-clock budget on the server.")
-  in
-  let local_arg =
-    Arg.(
-      value & flag
-      & info [ "local" ]
-          ~doc:
-            "Spin up an ephemeral in-process daemon on a fresh temp state \
-             dir, submit to it, and drain it afterwards — no running \
-             $(b,pc serve) needed. Output is deterministic (everything \
-             executes, nothing is cached), so it is diffable.")
-  in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 12)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M.")
-  in
-  let n_small =
-    Arg.(
-      value & opt size_conv (1 lsl 6)
-      & info [ "n" ] ~docv:"WORDS" ~doc:"Largest object size n (power of two).")
-  in
-  let cs_arg =
-    Arg.(
-      value
-      & opt (list float) [ 8.0; 16.0 ]
-      & info [ "cs" ] ~docv:"C,C,..." ~doc:"Compaction bounds to submit.")
-  in
-  Cmd.v
-    (Cmd.info "submit" ~exits
-       ~doc:
-         "Submit a PF sweep to a running $(b,pc serve) daemon (with \
-          exponential backoff under backpressure), wait for completion, \
-          and print the journaled results. Exits 3 if any job died on an \
-          oracle violation.")
-    Term.(
-      const run $ client_socket_arg $ tenant_arg $ manager_arg $ m_small
-      $ n_small $ cs_arg $ retries_arg $ timeout_arg $ local_arg $ json_arg)
-
-let health_cmd =
-  let run socket json =
-    let h = with_client socket Pc.Serve.Client.health in
-    if json then begin
-      let module Json = Pc.Exec.Json in
-      Fmt.pr "%s@."
-        (Json.to_string
-           (Json.Obj
-              [
-                ("pending", Json.Int h.Pc.Serve.Protocol.pending);
-                ("in_flight", Json.Int h.in_flight);
-                ("workers", Json.Int h.workers);
-                ("restarts", Json.Int h.restarts);
-                ("tenants", Json.Int h.tenants);
-                ("submissions", Json.Int h.submissions);
-                ("jobs_done", Json.Int h.jobs_done);
-                ("cache_hits", Json.Int h.cache_hits);
-                ("executed", Json.Int h.executed);
-                ("draining", Json.Bool h.draining);
-              ]))
-    end
-    else
-      Fmt.pr
-        "queue: %d pending, %d in flight on %d worker(s) (%d restart(s))@.\
-         work:  %d submission(s) over %d tenant(s); %d job(s) done (%d \
-         executed, %d cache hits)@.state: %s@."
-        h.Pc.Serve.Protocol.pending h.in_flight h.workers h.restarts
-        h.submissions h.tenants h.jobs_done h.executed h.cache_hits
-        (if h.draining then "draining" else "serving")
-  in
-  Cmd.v
-    (Cmd.info "health" ~exits
-       ~doc:
-         "Query a running daemon's health: queue depth, in-flight jobs, \
-          worker restarts, per-tenant activity, drain state.")
-    Term.(const run $ client_socket_arg $ json_arg)
-
-let drain_cmd =
-  let run socket wait =
-    with_client socket Pc.Serve.Client.drain;
-    Fmt.pr "drain requested: the daemon finishes queued work, then exits@.";
-    if wait then begin
-      (* The daemon unlinks its socket as the last act of a drain;
-         poll until connecting fails. *)
-      let rec poll () =
-        match Pc.Serve.Client.with_conn socket Pc.Serve.Client.health with
-        | _ ->
-            Unix.sleepf 0.1;
-            poll ()
-        | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) ->
-            Fmt.pr "daemon exited@."
-      in
-      poll ()
-    end
-  in
-  let wait_arg =
-    Arg.(
-      value & flag
-      & info [ "wait" ] ~doc:"Block until the daemon has actually exited.")
-  in
-  Cmd.v
-    (Cmd.info "drain" ~exits
-       ~doc:
-         "Ask a running daemon to shut down gracefully: stop admitting, \
-          finish every queued and in-flight job, release the state dir.")
-    Term.(const run $ client_socket_arg $ wait_arg)
-
-let load_cmd =
-  let run socket clients submissions jobs_per manager m =
-    (* Distinct random-churn seeds make every submission a distinct
-       sweep — no dedup, no cache hits across submissions — so the
-       numbers measure the daemon, not the cache. *)
-    let subs =
-      Array.init submissions (fun i ->
-          let specs =
-            List.init jobs_per (fun k ->
-                Pc.Exec.Spec.random_churn
-                  ~seed:((i * jobs_per) + k)
-                  ~churn:512 ~c:8.0 ~manager ~m
-                  ~dist:(Pc.Exec.Spec.Pow2 { lo_log = 0; hi_log = 4 })
-                  ~target_live:(m / 2) ())
-          in
-          (Printf.sprintf "load-%d" (i mod 4), specs, 2))
-    in
-    let r = Pc.Serve.Client.load ~socket ~clients ~submissions:subs in
-    let p q = Pc.Serve.Client.percentile r.latencies q *. 1000. in
-    Fmt.pr
-      "%d client(s), %d submission(s), %d job(s): %.2fs wall, %.1f jobs/s@."
-      r.clients submissions r.jobs r.wall
-      (float_of_int r.jobs /. r.wall);
-    Fmt.pr
-      "latency p50=%.1fms p90=%.1fms p99=%.1fms; %d backoff round(s), %d \
-       worker restart(s), %d failed job(s)@."
-      (p 0.5) (p 0.9) (p 0.99) r.submit_retries r.restarts_seen r.failed;
-    if r.failed > 0 then exit 1
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client threads.")
-  in
-  let submissions_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "submissions" ] ~docv:"N" ~doc:"Total submissions to push.")
-  in
-  let jobs_per_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "jobs-per" ] ~docv:"N" ~doc:"Jobs per submission.")
-  in
-  let m_small =
-    Arg.(
-      value & opt size_conv (1 lsl 10)
-      & info [ "m" ] ~docv:"WORDS" ~doc:"Live-space bound M per job.")
-  in
-  Cmd.v
-    (Cmd.info "load" ~exits
-       ~doc:
-         "Saturation-test a running daemon: hammer it with concurrent \
-          clients and report throughput, latency percentiles, backoff \
-          rounds and worker restarts.")
-    Term.(
-      const run $ client_socket_arg $ clients_arg $ submissions_arg
-      $ jobs_per_arg $ manager_arg $ m_small)
-
-(* ------------------------------------------------------------------ *)
 (* pc managers                                                        *)
 
 let managers_cmd =
@@ -1219,11 +822,6 @@ let () =
         figure_cmd;
         simulate_cmd;
         sweep_cmd;
-        serve_cmd;
-        submit_cmd;
-        health_cmd;
-        drain_cmd;
-        load_cmd;
         trace_cmd;
         diagram_cmd;
         replay_cmd;
@@ -1257,9 +855,6 @@ let () =
     | Pc.Exec.Lockfile.Locked _ as e ->
         Fmt.epr "pc: %s@." (Printexc.to_string e);
         Pc.Audit.Report.exit_usage
-    | Pc.Serve.Client.Protocol_error msg ->
-        Fmt.epr "pc: %s@." msg;
-        Pc.Audit.Report.exit_internal
     | Invalid_argument msg | Pc.Script.Bad_script msg ->
         Fmt.epr "pc: %s@." msg;
         Pc.Audit.Report.exit_usage

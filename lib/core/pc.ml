@@ -43,7 +43,6 @@ end
 (* The sweep engine: deterministic job specs, a Domain worker pool,
    and the content-addressed result cache *)
 module Exec = struct
-  module Json = Pc_exec.Json
   module Spec = Pc_exec.Spec
   module Pool = Pc_exec.Pool
   module Cache = Pc_exec.Cache
@@ -51,17 +50,6 @@ module Exec = struct
   module Faults = Pc_exec.Faults
   module Engine = Pc_exec.Engine
   module Lockfile = Pc_exec.Lockfile
-end
-
-(* The sweep daemon: wire framing + protocol, per-tenant state store,
-   a self-restarting supervised worker pool, and the client half *)
-module Serve = struct
-  module Wire = Pc_serve.Wire
-  module Protocol = Pc_serve.Protocol
-  module Store = Pc_serve.Store
-  module Supervisor = Pc_serve.Supervisor
-  module Server = Pc_serve.Server
-  module Client = Pc_serve.Client
 end
 
 (* Process-wide instruments: counters, gauges, log2 histograms and

@@ -55,7 +55,6 @@ end
 (** The sweep engine: deterministic job specs, a [Domain] worker pool,
     and the content-addressed on-disk result cache. *)
 module Exec : sig
-  module Json = Pc_exec.Json
   module Spec = Pc_exec.Spec
   module Pool = Pc_exec.Pool
   module Cache = Pc_exec.Cache
@@ -63,19 +62,6 @@ module Exec : sig
   module Faults = Pc_exec.Faults
   module Engine = Pc_exec.Engine
   module Lockfile = Pc_exec.Lockfile
-end
-
-(** The sweep daemon ([pc serve]) and its client half: length-prefixed
-    wire framing, the versioned JSON protocol, the per-tenant state
-    store, a self-restarting supervised worker pool, and the
-    submit/wait/results client with backoff. *)
-module Serve : sig
-  module Wire = Pc_serve.Wire
-  module Protocol = Pc_serve.Protocol
-  module Store = Pc_serve.Store
-  module Supervisor = Pc_serve.Supervisor
-  module Server = Pc_serve.Server
-  module Client = Pc_serve.Client
 end
 
 (** Low-overhead process-wide instruments — monotonic counters, gauges,

@@ -1,4 +1,5 @@
 open Pc_adversary
+open Pc_json
 
 (* Content-addressed on-disk store of sweep results. One JSON file per
    executed spec, named by the spec's digest:

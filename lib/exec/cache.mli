@@ -50,8 +50,8 @@ val store : ?faults:Faults.t -> t -> Spec.t -> Pc_adversary.Runner.outcome -> un
     atomically renamed into place, modelling power loss after an
     unsynced rename — which a later {!lookup} reports as [Invalid]. *)
 
-val outcome_to_json : Pc_adversary.Runner.outcome -> Json.t
-val outcome_of_json : Json.t -> Pc_adversary.Runner.outcome
-(** Raises {!Bad_entry} / [Json.Parse_error] on malformed input. *)
+val outcome_to_json : Pc_adversary.Runner.outcome -> Pc_json.Json.t
+val outcome_of_json : Pc_json.Json.t -> Pc_adversary.Runner.outcome
+(** Raises {!Bad_entry} / [Pc_json.Json.Parse_error] on malformed input. *)
 
 exception Bad_entry of string

@@ -1,4 +1,5 @@
 open Pc_adversary
+open Pc_json
 
 (* Crash-safe sweep journal: one fsynced JSON line per completed job,
    appended to <dir>/<sweep-digest>.journal as the pool finishes jobs.
@@ -160,8 +161,8 @@ let loaded t = t.loaded
 let repaired t = t.repaired
 
 let find t spec =
-  (* Under the journal mutex: the serve daemon's client-handler
-     threads call this while worker domains are mid-[record]. *)
+  (* Under the journal mutex: pool workers [record] into the same
+     table, so a lookup must never observe it mid-update. *)
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)

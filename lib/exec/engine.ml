@@ -187,79 +187,6 @@ let execute_with_retries ?faults ?(retries = 0) ?timeout ?(backoff = 0.1)
 let execute spec = execute_with_retries spec
 
 (* ------------------------------------------------------------------ *)
-(* One job, resolved end to end                                       *)
-
-(* The per-job resolution pipeline — journal, then cache, then an
-   execution with retries, with the fresh outcome journaled (fsynced)
-   before it is cached — packaged as a single call so a supervisor
-   that schedules its own queue (the serve daemon) runs exactly the
-   batch engine's code path per job. Journal-first durability order
-   means a worker killed at any point either left no trace (the job
-   re-resolves from scratch) or a complete journal line (the job
-   replays without re-execution): completion is exactly-once. Unlike
-   {!run}, a cache hit is journaled too, so the journal alone answers
-   "is this job complete" across daemon restarts. *)
-let resolve ?cache ?checkpoint ?faults ?retries ?timeout ?backoff ?audit
-    ?failures_dir ?(on_cache_invalid = fun ~path:_ ~reason:_ -> ()) spec =
-  let hit result ~from_cache ~from_journal =
-    {
-      spec;
-      result;
-      from_cache;
-      from_journal;
-      attempts = 0;
-      elapsed = 0.;
-      bundle = None;
-    }
-  in
-  match Option.bind checkpoint (fun j -> Checkpoint.find j spec) with
-  | Some result ->
-      T.Counter.incr resumed_c;
-      hit result ~from_cache:false ~from_journal:true
-  | None -> (
-      let cached =
-        match cache with
-        | None -> None
-        | Some cache -> (
-            match Cache.lookup ?faults cache spec with
-            | Cache.Hit outcome ->
-                T.Counter.incr cache_hits_c;
-                Some outcome
-            | Cache.Miss ->
-                T.Counter.incr cache_miss_c;
-                None
-            | Cache.Invalid { path; reason } ->
-                T.Counter.incr cache_invalid_c;
-                Log.warn (fun k ->
-                    k "cache: invalid entry %s (%s); re-executing" path reason);
-                on_cache_invalid ~path ~reason;
-                None)
-      in
-      match cached with
-      | Some outcome ->
-          (match checkpoint with
-          | Some journal -> Checkpoint.record journal spec (Ok outcome)
-          | None -> ());
-          hit (Ok outcome) ~from_cache:true ~from_journal:false
-      | None ->
-          let r =
-            execute_with_retries ?faults ?retries ?timeout ?backoff ?audit
-              ?failures_dir spec
-          in
-          (* Durability order matters: journal first (fsynced —
-             survives a kill), then cache, then the fault layer's kill
-             point. *)
-          (match checkpoint with
-          | Some journal -> Checkpoint.record journal spec r.result
-          | None -> ());
-          (match (cache, r.result) with
-          | Some cache, Ok outcome -> Cache.store ?faults cache spec outcome
-          | _ -> ());
-          (match faults with Some f -> Faults.job_completed f | None -> ());
-          T.Counter.incr executed_c;
-          r)
-
-(* ------------------------------------------------------------------ *)
 (* The sweep                                                          *)
 
 let run ?(jobs = 1) ?cache ?checkpoint ?retries ?timeout ?backoff ?faults

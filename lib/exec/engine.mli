@@ -104,29 +104,6 @@ val execute_with_retries :
   job_result
 (** The per-job attempt loop [run] uses, exposed for tests. *)
 
-val resolve :
-  ?cache:Cache.t ->
-  ?checkpoint:Checkpoint.t ->
-  ?faults:Faults.t ->
-  ?retries:int ->
-  ?timeout:float ->
-  ?backoff:float ->
-  ?audit:Pc_audit.Oracle.level ->
-  ?failures_dir:string ->
-  ?on_cache_invalid:(path:string -> reason:string -> unit) ->
-  Spec.t ->
-  job_result
-(** Resolve one spec end to end — journal, then cache, then
-    {!execute_with_retries} — journaling (fsync) a fresh outcome
-    {e before} caching it. This is [run]'s per-job pipeline packaged
-    for callers that schedule their own queue (the serve daemon's
-    supervised workers): a worker killed at any point either left no
-    trace or a complete journal line, so replays never re-execute and
-    completion is exactly-once. Unlike [run], a cache hit is journaled
-    too, making the journal alone authoritative for "is this job
-    complete" across daemon restarts. [on_cache_invalid] observes
-    detected cache rot (for the daemon's [recovered] accounting). *)
-
 val outcome_exn : job_result -> Pc_adversary.Runner.outcome
 (** Raises [Failure] with the captured error text on a failed job. *)
 

@@ -21,7 +21,6 @@
 
 exception Worker_crash of string
 exception Sweep_killed of int
-exception Worker_killed of string
 
 type t = {
   seed : int;
@@ -30,7 +29,6 @@ type t = {
   delay_s : float;
   trunc : float;
   corrupt : float;
-  wkill : float;
   max_transient : int;
   kill_after : int option;
   completed : int Atomic.t;
@@ -39,8 +37,7 @@ type t = {
 }
 
 let make ?(seed = 0) ?(crash = 0.) ?(delay = 0.) ?(delay_s = 0.01)
-    ?(trunc = 0.) ?(corrupt = 0.) ?(wkill = 0.) ?(max_transient = 2)
-    ?kill_after () =
+    ?(trunc = 0.) ?(corrupt = 0.) ?(max_transient = 2) ?kill_after () =
   if max_transient < 0 then invalid_arg "Faults.make: max_transient < 0";
   {
     seed;
@@ -49,7 +46,6 @@ let make ?(seed = 0) ?(crash = 0.) ?(delay = 0.) ?(delay_s = 0.01)
     delay_s;
     trunc;
     corrupt;
-    wkill;
     max_transient;
     kill_after;
     completed = Atomic.make 0;
@@ -90,18 +86,6 @@ let pre_job t ~digest ~attempt =
     if t.crash > 0. && draw t ~site:"crash" ~digest attempt < t.crash then
       raise (Worker_crash digest)
   end
-
-(* The serve supervisor's kill point: unlike [Worker_crash] (caught by
-   the engine's in-worker retry loop), [Worker_killed] is meant to
-   escape the worker domain entirely, so the supervision tree — not
-   the retry taxonomy — has to recover the job. [kills] is the number
-   of times a worker already died holding this job; capping it by
-   [max_transient] guarantees progress. *)
-let worker_kill t ~digest ~kills =
-  if
-    t.wkill > 0. && kills < t.max_transient
-    && draw t ~site:"wkill" ~digest kills < t.wkill
-  then raise (Worker_killed digest)
 
 let job_completed t =
   let n = Atomic.fetch_and_add t.completed 1 + 1 in
@@ -147,7 +131,6 @@ let to_string t =
          (if t.delay > 0. then Printf.sprintf "delay-s=%g" t.delay_s else "");
          (if t.trunc > 0. then Printf.sprintf "trunc=%g" t.trunc else "");
          (if t.corrupt > 0. then Printf.sprintf "corrupt=%g" t.corrupt else "");
-         (if t.wkill > 0. then Printf.sprintf "wkill=%g" t.wkill else "");
          Printf.sprintf "max-transient=%d" t.max_transient;
          (match t.kill_after with
          | Some k -> Printf.sprintf "kill-after=%d" k
@@ -192,7 +175,6 @@ let of_string s =
                 Result.map (fun f -> { t with delay_s = f }) (num k)
             | "trunc" -> Result.map (fun p -> { t with trunc = p }) (prob k)
             | "corrupt" -> Result.map (fun p -> { t with corrupt = p }) (prob k)
-            | "wkill" -> Result.map (fun p -> { t with wkill = p }) (prob k)
             | "max-transient" | "max_transient" ->
                 Result.map (fun i -> { t with max_transient = i }) (int k)
             | "kill-after" | "kill_after" ->

@@ -26,14 +26,6 @@ exception Sweep_killed of int
     it escape [run] — resume from the checkpoint journal afterwards.
     The payload is the number of completed jobs. *)
 
-exception Worker_killed of string
-(** Raised by {!worker_kill} to simulate a worker domain dying
-    abruptly (the serve daemon's SIGKILL-one-worker drill). Unlike
-    {!Worker_crash} this is {e not} part of the engine's retry
-    taxonomy: it escapes the worker so the supervision tree has to
-    requeue the in-flight job and restart the worker. The payload is
-    the job's spec digest. *)
-
 val make :
   ?seed:int ->
   ?crash:float ->
@@ -41,7 +33,6 @@ val make :
   ?delay_s:float ->
   ?trunc:float ->
   ?corrupt:float ->
-  ?wkill:float ->
   ?max_transient:int ->
   ?kill_after:int ->
   unit ->
@@ -53,8 +44,7 @@ val of_string : string -> (t, string) result
 (** Parse a chaos spec like
     ["crash=0.3,delay=0.15,delay-s=0.01,trunc=0.2,corrupt=0.2,seed=7"].
     Fields: [seed], [crash], [delay], [delay-s], [trunc], [corrupt],
-    [wkill], [max-transient], [kill-after]; all optional,
-    comma-separated. *)
+    [max-transient], [kill-after]; all optional, comma-separated. *)
 
 val to_string : t -> string
 
@@ -72,13 +62,6 @@ val pre_job : t -> digest:string -> attempt:int -> unit
 (** Consulted before each execution attempt: may sleep [delay_s]
     and/or raise {!Worker_crash}. Attempts [>= max_transient] are
     never faulted. *)
-
-val worker_kill : t -> digest:string -> kills:int -> unit
-(** Consulted by the serve daemon's worker loop before it starts a
-    job: may raise {!Worker_killed}. [kills] is the number of times a
-    worker already died holding this job; draws at or beyond
-    [max_transient] never kill, so a supervised job always makes
-    progress. *)
 
 val job_completed : t -> unit
 (** Consulted after a job's outcome has been journaled and cached; the

@@ -1,5 +1,5 @@
 (* Advisory single-writer lock over an on-disk state directory (result
-   cache + checkpoint journal, or a serve daemon's state dir).
+   cache + checkpoint journal).
 
    The lock is a file created with O_CREAT|O_EXCL — atomic on every
    POSIX filesystem — holding the owner's PID. Two concurrent writers
@@ -29,8 +29,8 @@ let () =
         Some
           (Printf.sprintf
              "lock %s is held by live process %d (two pc processes must not \
-              share a state dir; stop the other one or point --state-dir / \
-              --cache-dir elsewhere)"
+              share a state dir; stop the other one or point --cache-dir \
+              elsewhere)"
              path pid)
     | _ -> None)
 

@@ -1,9 +1,9 @@
 (** Advisory single-writer lockfile for on-disk state directories.
 
-    [pc sweep] takes one per checkpoint journal and [pc serve] one per
-    state dir, so two processes racing for the same mutable state fail
-    fast with a clear error ({!Locked}) instead of silently corrupting
-    each other's journal appends and cache renames.
+    [pc sweep] takes one per checkpoint journal, so two processes
+    racing for the same mutable state fail fast with a clear error
+    ({!Locked}) instead of silently corrupting each other's journal
+    appends and cache renames.
 
     The lock is an [O_CREAT|O_EXCL] file holding the owner's PID.
     {!acquire} breaks a {e stale} lock — one whose recorded PID is
@@ -13,9 +13,9 @@
     owner). A live foreign PID raises {!Locked}.
 
     Caveat: because a same-PID lock counts as stale, two concurrent
-    embedded servers {e inside one process} are not mutually excluded
-    — the lock guards against other processes, which is what an
-    on-disk lock can promise. *)
+    holders {e inside one process} are not mutually excluded — the
+    lock guards against other processes, which is what an on-disk lock
+    can promise. *)
 
 type t
 

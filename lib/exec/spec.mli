@@ -108,7 +108,7 @@ val pp : Format.formatter -> t -> unit
 
 exception Bad_spec of string
 
-val to_json : t -> Json.t
+val to_json : t -> Pc_json.Json.t
 
-val of_json : Json.t -> t
-(** Raises {!Bad_spec} or [Json.Parse_error] on malformed input. *)
+val of_json : Pc_json.Json.t -> t
+(** Raises {!Bad_spec} or [Pc_json.Json.Parse_error] on malformed input. *)

@@ -121,6 +121,27 @@ let relocate_first_fit ctx ~avoid (o : Heap.obj) =
       Free_index.first_fit_from free ~from:(Interval.stop avoid) ~size:o.size
   | None -> None
 
+(* Try [attempt] on up to [attempts] candidates in order; the first
+   cleared window wins. A failed attempt keeps the moves it made, and
+   may have moved objects into a later candidate's window: each window
+   is priced again when it is tried, against the budget left at that
+   point, and skipped if it no longer fits. Top level, not a local
+   closure: [try_evict] runs on every heap-growing allocation of the
+   compacting managers. *)
+let rec first_success ~heap ~budget ~size ~attempt attempts = function
+  | [] -> None
+  | _ when attempts = 0 -> None
+  | c :: rest -> (
+      let left = Budget.available budget in
+      let stop = c.window_start + size in
+      if Heap.clear_cost heap ~start:c.window_start ~stop ~cap:left > left then
+        first_success ~heap ~budget ~size ~attempt attempts rest
+      else
+        match attempt c with
+        | Some _ as res -> res
+        | None ->
+            first_success ~heap ~budget ~size ~attempt (attempts - 1) rest)
+
 (* Clear one window and return its start address. Objects are moved
    largest-first so that relocation failures surface before most of the
    budget is spent. Returns [None] when no candidate window can be
@@ -160,15 +181,9 @@ let try_evict ?(max_attempts = 3) ?max_gaps ?relocate ctx ~size ~align
     in
     if ok then Some window_start else None
   in
-  let rec first_success attempts = function
-    | [] -> None
-    | _ when attempts = 0 -> None
-    | c :: rest -> (
-        match attempt c with
-        | Some _ as res -> res
-        | None -> first_success (attempts - 1) rest)
+  let result =
+    first_success ~heap ~budget ~size ~attempt max_attempts candidates
   in
-  let result = first_success max_attempts candidates in
   (match result with
   | Some a ->
       T.Counter.incr cleared_c;

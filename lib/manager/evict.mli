@@ -33,7 +33,10 @@ val try_evict :
   move_cap:int ->
   int option
 (** Try to clear an aligned [size]-word window by relocating its
-    objects, spending at most [min move_cap (budget available)] words.
-    Returns the start of the cleared window. Objects already moved when
-    a later relocation fails stay moved (the heap remains valid); at
-    most [max_attempts] candidate windows are tried. *)
+    objects. Returns the start of the cleared window. Candidates are
+    the windows costing at most [min move_cap (budget available)] on
+    entry. Objects already moved when a later relocation fails stay
+    moved (the heap remains valid) and may land in another candidate,
+    so each window is priced again when it is tried and skipped if it
+    no longer fits the budget left; at most [max_attempts] candidate
+    windows are tried. *)

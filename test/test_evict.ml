@@ -76,6 +76,57 @@ let test_try_evict_respects_budget () =
   Alcotest.(check bool) "no eviction" true (r = None);
   Alcotest.(check int) "nothing moved" 0 (Heap.moved_total heap)
 
+(* A failed attempt keeps the moves it made before relocation failed,
+   so later candidates must be priced again against the budget left
+   then. In both layouts window [0,32) or [0,64) goes first, moves its
+   largest object into the only gap outside it that fits, finds no gap
+   for the next one, and gives up. The other window fitted the budget
+   on entry but does not fit what is left: in the first layout because
+   budget was spent, in the second also because the moved object
+   landed in it.
+
+   - Quota 90/4.5 = 20. [0,32) moves 10 words to [86,96): 10 left.
+     [32,64) costs 18 at entry and still does, 18 > 10.
+   - Quota 120/2.7 = 44. [0,64) moves 16 words to [78,94), inside
+     [64,128): 28 left. [64,128) costs 28 at entry, 28 + 16 after. *)
+let test_try_evict_reprices_after_failure () =
+  List.iter
+    (fun (name, c, size, layout, quota, spent) ->
+      let ctx, heap, budget, _ = ctx_with ~c layout in
+      Alcotest.(check int) (name ^ ": quota") quota (Budget.available budget);
+      let r = Evict.try_evict ctx ~size ~align:size ~move_cap:1000 in
+      Alcotest.(check (option int)) (name ^ ": no window cleared") None r;
+      Alcotest.(check int) (name ^ ": only the failed attempt's move") spent
+        (Heap.moved_total heap);
+      Alcotest.(check bool) (name ^ ": compliant") true
+        (Budget.is_compliant budget))
+    [
+      ( "budget spent",
+        4.5,
+        32,
+        [ (0, 10); (10, 8); (32, 9); (48, 9); (64, 22); (96, 32) ],
+        20,
+        10 );
+      ( "window grew",
+        2.7,
+        64,
+        [ (0, 16); (16, 12); (64, 14); (94, 7); (112, 7); (128, 64) ],
+        44,
+        16 );
+    ]
+
+(* The churn point that overran the budget through the same path. *)
+let test_churn_point_stays_compliant () =
+  let spec =
+    Pc_exec.Spec.random_churn ~seed:16010 ~churn:200 ~c:8.0
+      ~manager:"compacting" ~m:4096
+      ~dist:(Pc_exec.Spec.Pow2 { lo_log = 0; hi_log = 6 })
+      ~target_live:2048 ()
+  in
+  match (Pc_exec.Engine.execute spec).result with
+  | Ok o -> Alcotest.(check bool) "compliant" true o.compliant
+  | Error msg -> Alcotest.failf "churn point failed: %s" msg
+
 let test_try_evict_move_cap () =
   (* Plenty of budget but a small move_cap: same refusal. *)
   let ctx, heap, _, _ = ctx_with ~c:2.0 capped_layout in
@@ -186,6 +237,10 @@ let () =
           Alcotest.test_case "budget respected" `Quick
             test_try_evict_respects_budget;
           Alcotest.test_case "move cap" `Quick test_try_evict_move_cap;
+          Alcotest.test_case "windows repriced after a failed attempt" `Quick
+            test_try_evict_reprices_after_failure;
+          Alcotest.test_case "seed-16010 churn point compliant" `Quick
+            test_churn_point_stays_compliant;
           Alcotest.test_case "straddler moved whole" `Quick
             test_try_evict_straddler;
         ] );

@@ -82,7 +82,7 @@ let test_spec_string_round_trip () =
         (Printf.sprintf "%S rejected" bad)
         true
         (Result.is_error (Faults.of_string bad)))
-    [ ""; "crash"; "crash=2.0"; "nope=1"; "kill-after=-1" ]
+    [ ""; "crash"; "crash=2.0"; "nope=1"; "kill-after=-1"; "wkill=0.3" ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash and delay recovery                                           *)

@@ -239,7 +239,7 @@ let prop_cache_payload_identical =
     (fun seed ->
       let payload level =
         let o = run_churn_at level seed in
-        Digest.string (Pc_exec.Json.to_string (Pc_exec.Cache.outcome_to_json o))
+        Digest.string (Pc_json.Json.to_string (Pc_exec.Cache.outcome_to_json o))
       in
       payload T.Sink.Off = payload T.Sink.Full)
 
