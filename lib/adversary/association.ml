@@ -23,11 +23,22 @@ type chunk = {
   mutable middle : bool; (* member of the set E (Definition 4.12) *)
 }
 
+(* An object has at most two locations (two halves on two chunks, or
+   one whole entry). Oids are dense, so the locations live in two
+   oid-indexed slot arrays rather than a table of lists: [loc_a] holds
+   the first location and [loc_b] the second, [no_loc] marks an empty
+   slot, and [loc_b] is set only when [loc_a] is. [seen] is a
+   generation-stamped per-oid mark for [merge_step]. *)
+let no_loc = -1
+
 type t = {
   ell : int; (* density exponent: target density 2^-ell *)
   mutable chunk_log : int; (* current chunk size is 2^chunk_log *)
   mutable chunks : (int, chunk) Hashtbl.t; (* chunk index -> state *)
-  locs : (int, int list) Hashtbl.t; (* oid as int -> chunk indices *)
+  mutable loc_a : int array; (* oid -> first chunk index, or no_loc *)
+  mutable loc_b : int array; (* oid -> second chunk index, or no_loc *)
+  mutable seen : int array; (* oid -> last merge_step generation *)
+  mutable gen : int;
 }
 
 let create ~chunk_log ~ell =
@@ -36,7 +47,10 @@ let create ~chunk_log ~ell =
     ell;
     chunk_log;
     chunks = Hashtbl.create 256;
-    locs = Hashtbl.create 256;
+    loc_a = Array.make 256 no_loc;
+    loc_b = Array.make 256 no_loc;
+    seen = Array.make 256 0;
+    gen = 0;
   }
 
 let chunk_log t = t.chunk_log
@@ -60,27 +74,55 @@ let entries t idx =
 let is_middle t idx =
   match find_chunk t idx with Some ch -> ch.middle | None -> false
 
+(* First location of an oid, or [no_loc]. *)
+let first_loc t o = if o < Array.length t.loc_a then t.loc_a.(o) else no_loc
+
 let locs_of t oid =
-  Option.value ~default:[] (Hashtbl.find_opt t.locs (Oid.to_int oid))
+  let o = Oid.to_int oid in
+  let a = first_loc t o in
+  if a = no_loc then []
+  else
+    let b = t.loc_b.(o) in
+    if b = no_loc then [ a ] else [ a; b ]
+
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let add_loc t oid idx =
-  Hashtbl.replace t.locs (Oid.to_int oid) (idx :: locs_of t oid)
+  let o = Oid.to_int oid in
+  let len = Array.length t.loc_a in
+  if o >= len then begin
+    let n = max (o + 1) (2 * len) in
+    t.loc_a <- grow t.loc_a n no_loc;
+    t.loc_b <- grow t.loc_b n no_loc;
+    t.seen <- grow t.seen n 0
+  end;
+  if t.loc_a.(o) = no_loc then t.loc_a.(o) <- idx
+  else if t.loc_b.(o) = no_loc then t.loc_b.(o) <- idx
+  else invalid_arg "Association: more than two locations"
 
+(* Forget one location of an oid; a location it does not have is
+   ignored. *)
 let remove_loc t oid idx =
-  let rec remove_once = function
-    | [] -> []
-    | x :: rest -> if x = idx then rest else x :: remove_once rest
-  in
-  match remove_once (locs_of t oid) with
-  | [] -> Hashtbl.remove t.locs (Oid.to_int oid)
-  | l -> Hashtbl.replace t.locs (Oid.to_int oid) l
+  let o = Oid.to_int oid in
+  let a = first_loc t o in
+  if a = no_loc then ()
+  else if a = idx then begin
+    t.loc_a.(o) <- t.loc_b.(o);
+    t.loc_b.(o) <- no_loc
+  end
+  else if t.loc_b.(o) = idx then t.loc_b.(o) <- no_loc
 
+(* The location first, so that a third location leaves the chunk
+   untouched. *)
 let add_entry t idx e =
+  add_loc t e.oid idx;
   let ch = get_chunk t idx in
   ch.entries <- e :: ch.entries;
   ch.sum <- ch.sum + entry_size e;
-  ch.middle <- false;
-  add_loc t e.oid idx
+  ch.middle <- false
 
 (* Remove one entry (by oid and half-ness) from a chunk. *)
 let remove_entry t idx (e : entry) =
@@ -124,7 +166,8 @@ let reset_chunk t idx =
         List.filter_map
           (fun e ->
             remove_loc t e.oid idx;
-            if locs_of t e.oid = [] then Some e.oid else None)
+            if first_loc t (Oid.to_int e.oid) = no_loc then Some e.oid
+            else None)
           ch.entries
       in
       ch.entries <- [];
@@ -143,87 +186,68 @@ let reset_chunk t idx =
 let migrate_half t ~from_idx (e : entry) =
   if not e.half then invalid_arg "Association.migrate_half: whole entry";
   remove_entry t from_idx e;
-  match locs_of t e.oid with
-  | [] -> None
-  | [ other ] ->
-      (* The other half is at [other]: merge into a whole entry. *)
-      remove_entry t other e;
-      add_entry t other { e with half = false };
-      Some other
-  | _ :: _ :: _ ->
-      invalid_arg "Association.migrate_half: more than two locations"
+  let other = first_loc t (Oid.to_int e.oid) in
+  if other = no_loc then None
+  else begin
+    (* The other half is at [other]: merge into a whole entry. *)
+    remove_entry t other e;
+    add_entry t other { e with half = false };
+    Some other
+  end
+
+(* The entries of one pre-merge chunk as they appear in the merged
+   chunk, in order. The first entry met (in [merge_step]'s visiting
+   order) of an object halves both its locations, and when its two
+   halves land in the same merged chunk it becomes the whole entry
+   there and the object keeps one location; the second half of such a
+   pair is then dropped. *)
+let merged_entries t entries =
+  List.filter_map
+    (fun (e : entry) ->
+      let o = Oid.to_int e.oid in
+      if t.seen.(o) <> t.gen then begin
+        t.seen.(o) <- t.gen;
+        let a = t.loc_a.(o) / 2 and b = t.loc_b.(o) in
+        t.loc_a.(o) <- a;
+        if e.half && b <> no_loc && b / 2 = a then begin
+          t.loc_b.(o) <- no_loc;
+          Some { e with half = false }
+        end
+        else begin
+          if b <> no_loc then t.loc_b.(o) <- b / 2;
+          Some e
+        end
+      end
+      else if t.loc_b.(o) = no_loc then None
+      else Some e)
+    entries
 
 (* Step change (Algorithm 1 line 12): chunk size doubles, pairs of
    chunks merge, entry sets take unions; two halves of one object
    landing in the same merged chunk become a whole entry. The middle
-   set E empties (Definition 4.12). *)
+   set E empties (Definition 4.12).
+
+   A merged chunk lists the entries of the pre-merge chunk visited
+   first, then those of the other, and a collapsed pair keeps the place
+   of its first half: the entry order PF's later drops and resets
+   follow. Sums are unchanged by half-merging (two halves = one
+   whole). *)
 let merge_step t =
+  t.gen <- t.gen + 1;
   let merged = Hashtbl.create (Hashtbl.length t.chunks) in
-  let new_locs = Hashtbl.create (Hashtbl.length t.locs) in
   Hashtbl.iter
     (fun idx (ch : chunk) ->
       let nidx = idx / 2 in
-      let nch =
-        match Hashtbl.find_opt merged nidx with
-        | Some nch -> nch
-        | None ->
-            let nch = { entries = []; sum = 0; middle = false } in
-            Hashtbl.add merged nidx nch;
-            nch
-      in
-      List.iter
-        (fun e ->
-          nch.entries <- e :: nch.entries;
-          nch.sum <- nch.sum + entry_size e)
-        ch.entries)
+      let es = merged_entries t ch.entries in
+      match Hashtbl.find_opt merged nidx with
+      | Some nch ->
+          nch.entries <- nch.entries @ es;
+          nch.sum <- nch.sum + ch.sum
+      | None ->
+          Hashtbl.add merged nidx
+            { entries = es; sum = ch.sum; middle = false })
     t.chunks;
-  (* Merge half-pairs that now share a chunk. *)
-  Hashtbl.iter
-    (fun nidx (nch : chunk) ->
-      (* Count the halves per oid once, then rebuild in one pass: a
-         pair's first half is dropped and its second becomes the whole
-         entry — the same list the remove-on-second-encounter fold
-         produced, without the quadratic mid-list removal. An object
-         has at most two half entries in total, so a count is a pair
-         indicator. *)
-      let halves = Hashtbl.create 8 in
-      List.iter
-        (fun (e : entry) ->
-          if e.half then begin
-            let key = Oid.to_int e.oid in
-            Hashtbl.replace halves key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt halves key))
-          end)
-        nch.entries;
-      let seen = Hashtbl.create 8 in
-      let merged_entries =
-        List.fold_left
-          (fun acc (e : entry) ->
-            if not e.half then e :: acc
-            else begin
-              let key = Oid.to_int e.oid in
-              if Hashtbl.find halves key = 2 then
-                if Hashtbl.mem seen key then { e with half = false } :: acc
-                else begin
-                  Hashtbl.add seen key ();
-                  acc
-                end
-              else e :: acc
-            end)
-          [] nch.entries
-      in
-      nch.entries <- merged_entries;
-      (* sums are unchanged by half-merging: two halves = one whole *)
-      List.iter
-        (fun e ->
-          let key = Oid.to_int e.oid in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt new_locs key) in
-          Hashtbl.replace new_locs key (nidx :: cur))
-        merged_entries)
-    merged;
   t.chunks <- merged;
-  Hashtbl.reset t.locs;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.locs k v) new_locs;
   t.chunk_log <- t.chunk_log + 1
 
 let chunk_indices t = Hashtbl.fold (fun idx _ acc -> idx :: acc) t.chunks []
@@ -260,16 +284,17 @@ let check_invariants t =
             failwith "Association: missing loc back-reference")
         ch.entries)
     t.chunks;
-  Hashtbl.iter
-    (fun oid idxs ->
-      if List.length idxs > 2 then failwith "Association: more than 2 locs";
+  Array.iteri
+    (fun o a ->
+      let b = t.loc_b.(o) in
+      if a = no_loc && b <> no_loc then
+        failwith "Association: second location without a first";
       List.iter
         (fun idx ->
-          let present =
-            List.exists
-              (fun e -> Oid.to_int e.oid = oid)
-              (entries t idx)
-          in
-          if not present then failwith "Association: stale loc")
-        idxs)
-    t.locs
+          if
+            idx <> no_loc
+            && not
+                 (List.exists (fun e -> Oid.to_int e.oid = o) (entries t idx))
+          then failwith "Association: stale loc")
+        [ a; b ])
+    t.loc_a

@@ -6,7 +6,17 @@
     chunk [k] covers [\[k·2{^i}, (k+1)·2{^i})]. Each chunk holds a set
     of associated entries: whole objects or halves (Claim 4.15).
     Association survives compaction (entries of ghosted objects stay at
-    the old chunk) and migrates on half de-allocation. *)
+    the old chunk) and migrates on half de-allocation.
+
+    {b Order is observable.} [P_F]'s decisions follow two orders this
+    module fixes: the order of {!chunk_indices} (the chunks' hash-table
+    iteration order, which depends on the table's insertion history and
+    size) and the order of each chunk's {!entries}. The first decides
+    the order of the density pass; the second decides which of several
+    same-size entries the pass drops and the order in which
+    {!reset_chunk} reports vanished objects — which fixes the order of
+    the program's frees, seen by managers through [on_free]. Both are
+    part of the interface: a change to either changes outcomes. *)
 
 type entry = { oid : Pc_heap.Oid.t; obj_size : int; half : bool }
 
@@ -25,11 +35,19 @@ val sum : t -> int -> int
 (** Total entry size associated with a chunk index. *)
 
 val entries : t -> int -> entry list
+(** Most recently associated first; after {!merge_step}, the entries of
+    the pre-merge chunk visited first, then the other's, a collapsed
+    half pair taking the place of its first half. *)
+
 val is_middle : t -> int -> bool
 val locs_of : t -> Pc_heap.Oid.t -> int list
-(** The 0, 1 or 2 chunk indices holding entries of an object. *)
+(** The 0, 1 or 2 chunk indices holding entries of an object, in no
+    particular order. *)
 
 val assoc_whole : t -> Pc_heap.Oid.t -> obj_size:int -> chunk:int -> unit
+(** Raises [Invalid_argument "Association: more than two locations"]
+    if the object already has two locations (the chunk is then left
+    unchanged); so do {!assoc_halves} and {!migrate_half}. *)
 
 val assoc_halves :
   t -> Pc_heap.Oid.t -> obj_size:int -> chunk1:int -> chunk2:int -> unit
@@ -59,7 +77,9 @@ val merge_step : t -> unit
 
 val chunk_indices : t -> int list
 (** Indices of chunks currently carrying state (entries or middle
-    flag), unordered. *)
+    flag), in the chunk table's iteration order: deterministic for a
+    given sequence of calls, and observable (see the module
+    description). *)
 
 val chunk_count : t -> int
 

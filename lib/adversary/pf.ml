@@ -79,36 +79,37 @@ let density_pass view assoc ~threshold =
   List.iter (fun idx -> Queue.add idx work) (Association.chunk_indices assoc);
   while not (Queue.is_empty work) do
     let idx = Queue.pop work in
-    (* One sorted pass is equivalent to Algorithm 1's "repeatedly drop
+    let s = ref (Association.sum assoc idx) in
+    (* Entries have positive size, so nothing can be dropped from a
+       chunk whose sum is at most [threshold]: skip it unsorted.
+
+       One sorted pass is equivalent to Algorithm 1's "repeatedly drop
        the largest droppable entry": dropping an entry only shrinks the
        associated sum, so an entry that failed [s - |e| >= threshold]
        can never become droppable later — the scan position is
        monotone, and re-sorting after every removal (the literal
        reading) would reproduce exactly this sequence of drops. *)
-    let entries =
+    if !s > threshold then
       Association.entries assoc idx
       |> List.sort (fun a b ->
              Int.compare (Association.entry_size b) (Association.entry_size a))
-    in
-    let s = ref (Association.sum assoc idx) in
-    List.iter
-      (fun (e : Association.entry) ->
-        let sz = Association.entry_size e in
-        if !s - sz >= threshold then begin
-          s := !s - sz;
-          if e.half then begin
-            match Association.migrate_half assoc ~from_idx:idx e with
-            | Some dest -> Queue.add dest work
-            | None -> drop_if_orphaned view assoc e.oid
-          end
-          else begin
-            Association.remove_entry assoc idx e;
-            match View.find view e.oid with
-            | Some r -> View.free view r
-            | None -> failwith "Pf: association entry without view record"
-          end
-        end)
-      entries
+      |> List.iter (fun (e : Association.entry) ->
+             let sz = Association.entry_size e in
+             if !s - sz >= threshold then begin
+               s := !s - sz;
+               if e.half then begin
+                 match Association.migrate_half assoc ~from_idx:idx e with
+                 | Some dest -> Queue.add dest work
+                 | None -> drop_if_orphaned view assoc e.oid
+               end
+               else begin
+                 Association.remove_entry assoc idx e;
+                 match View.find view e.oid with
+                 | Some r -> View.free view r
+                 | None ->
+                     failwith "Pf: association entry without view record"
+               end
+             end)
   done
 
 exception

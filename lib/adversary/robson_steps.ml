@@ -13,12 +13,7 @@
    to [f] modulo 2^i? (Definition 4.2.) *)
 let occupying ~f ~step (r : View.record) =
   let modulus = 1 lsl step in
-  if r.size >= modulus then true
-  else begin
-    let delta = (f - r.orig_addr) mod modulus in
-    let delta = if delta < 0 then delta + modulus else delta in
-    delta < r.size
-  end
+  r.size >= modulus || (f - r.orig_addr) land (modulus - 1) < r.size
 
 (* The wasted-space objective of Algorithm 2 line 4 for offset
    candidate [f]. *)
@@ -27,17 +22,18 @@ let wasted_space view ~f ~step =
   View.fold_present view ~init:0 ~f:(fun acc r ->
       if occupying ~f ~step r then acc + (modulus - r.size) else acc)
 
-(* One de-allocation + refill step. Returns the chosen offset. *)
+(* One de-allocation + refill step. Returns the chosen offset: the
+   second candidate only when it wastes strictly more space. Both
+   candidates are scored in one pass over the view. *)
 let step view ~m ~prev_f ~step:i =
-  let candidates = [ prev_f; prev_f + (1 lsl (i - 1)) ] in
-  let f =
-    match candidates with
-    | [ f0; f1 ] ->
-        if wasted_space view ~f:f1 ~step:i > wasted_space view ~f:f0 ~step:i
-        then f1
-        else f0
-    | _ -> assert false
-  in
+  let modulus = 1 lsl i in
+  let f0 = prev_f and f1 = prev_f + (1 lsl (i - 1)) in
+  let w0 = ref 0 and w1 = ref 0 in
+  View.iter_present view (fun r ->
+      let waste = modulus - r.size in
+      if occupying ~f:f0 ~step:i r then w0 := !w0 + waste;
+      if occupying ~f:f1 ~step:i r then w1 := !w1 + waste);
+  let f = if !w1 > !w0 then f1 else f0 in
   (* Free every live or ghost object that is not f-occupying. *)
   let doomed =
     View.fold_present view ~init:[] ~f:(fun acc r ->

@@ -41,7 +41,7 @@ let ghost t (r : record) =
 let alloc t ~size =
   let oid, addr, moves = Driver.alloc t.driver ~size in
   let r = { oid; orig_addr = addr; size; ghost = false } in
-  Oid.Table.replace t.tbl oid r;
+  Oid.Table.add t.tbl oid r;
   t.present_words <- t.present_words + size;
   (* Ghost every tracked object the manager moved to serve this
      request — before the program takes any other action. *)

@@ -35,7 +35,18 @@ val present_words : t -> int
 (** Total size of live and ghost records. *)
 
 val present_count : t -> int
+
 val iter_present : t -> (record -> unit) -> unit
+(** Visits records in the order of the record hash table ([Oid.Table],
+    created with 1024 buckets and filled by [add] in allocation order),
+    not in oid order. That order is observable: Robson's steps free
+    their doomed objects in it and PF's stage 2 associates its
+    survivors in it, and managers see the free order through
+    [on_free]. It depends on the table's size history, so it differs
+    between small and large runs. *)
+
 val fold_present : t -> init:'a -> f:('a -> record -> 'a) -> 'a
+(** Same order as {!iter_present}. *)
+
 val driver : t -> Driver.t
 val live_words : t -> int

@@ -40,8 +40,8 @@ let window_cost heap ~start ~size =
     ~f:(fun acc (o : Heap.obj) -> acc + o.size)
 
 (* Candidate [align]-aligned [size]-word windows below the frontier,
-   cheapest first, discovered around the [max_gaps] largest gaps.
-   Windows costing more than [cost_cap] may report any cost above it.
+   cheapest first, discovered around the [max_gaps] largest gaps;
+   windows costing more than [cost_cap] are left out.
 
    This runs on every heap-growing allocation of the compacting
    managers, so it must not allocate per considered window. *)
@@ -55,9 +55,12 @@ let candidates_capped ?(max_gaps = 64) ~cost_cap ctx ~size ~align =
      every hit. *)
   let gen = ctx.Ctx.scratch_gen + 1 in
   ctx.Ctx.scratch_gen <- gen;
+  (* The frontier creeps up a few words at a time: grow geometrically,
+     or every growth step re-allocates the whole array. *)
   let need = (frontier / align) + 2 in
-  if Array.length ctx.Ctx.scratch < need then
-    ctx.Ctx.scratch <- Array.make (max need 1024) 0;
+  let len = Array.length ctx.Ctx.scratch in
+  if len < need then
+    ctx.Ctx.scratch <- Array.make (max need (max 1024 (2 * len))) 0;
   let seen = ctx.Ctx.scratch in
   let consider w =
     if w >= 0 && Array.unsafe_get seen w <> gen then begin
@@ -71,7 +74,8 @@ let candidates_capped ?(max_gaps = 64) ~cost_cap ctx ~size ~align =
           T.Counter.incr candidates_c;
           if !T.Sink.full_active then T.Histogram.observe window_cost_h cost
         end;
-        cands := { window_start = start; cost } :: !cands
+        if cost <= cost_cap then
+          cands := { window_start = start; cost } :: !cands
       end
     end
   in
@@ -158,7 +162,6 @@ let try_evict ?(max_attempts = 3) ?max_gaps ?relocate ctx ~size ~align
     if Free_index.gap_count (Ctx.free_index ctx) = 0 then []
     else
       candidates_capped ?max_gaps ~cost_cap:cap ctx ~size ~align
-      |> List.filter (fun c -> c.cost <= cap)
   in
   let attempt { window_start; _ } =
     T.Counter.incr attempts_c;

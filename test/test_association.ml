@@ -102,6 +102,67 @@ let test_merge_step () =
     (match Association.entries a 2 with [ e ] -> e.half | _ -> false);
   Association.check_invariants a
 
+(* Locations live in oid-indexed arrays that start small; an oid far
+   past them must behave like any other. *)
+let test_large_oids () =
+  let a = Association.create ~chunk_log:3 ~ell:2 in
+  let big = oid 100_000 in
+  Association.assoc_halves a big ~obj_size:8 ~chunk1:4 ~chunk2:5;
+  Association.assoc_whole a (oid 7) ~obj_size:2 ~chunk:4;
+  Alcotest.(check (list int)) "two locs" [ 4; 5 ]
+    (List.sort compare (Association.locs_of a big));
+  Alcotest.(check (list int)) "unseen oid" []
+    (Association.locs_of a (oid 200_000));
+  Association.merge_step a;
+  Alcotest.(check (list int)) "pair collapsed" [ 2 ]
+    (Association.locs_of a big);
+  check_int "merged sum" 10 (Association.sum a 2);
+  let vanished = Association.reset_chunk a 2 in
+  Alcotest.(check (list int)) "both vanish" [ 7; 100_000 ]
+    (List.sort compare (List.map Oid.to_int vanished));
+  Association.check_invariants a
+
+(* A half pair whose chunks merge collapses to one whole entry and one
+   location; a pair split across merged chunks keeps two halves and
+   two (halved) locations. *)
+let test_merge_step_locations () =
+  let a = Association.create ~chunk_log:3 ~ell:2 in
+  Association.assoc_halves a (oid 1) ~obj_size:8 ~chunk1:6 ~chunk2:7;
+  Association.assoc_halves a (oid 2) ~obj_size:8 ~chunk1:5 ~chunk2:6;
+  Association.assoc_whole a (oid 3) ~obj_size:2 ~chunk:6;
+  Association.merge_step a;
+  Alcotest.(check (list int)) "collapsed pair" [ 3 ]
+    (Association.locs_of a (oid 1));
+  Alcotest.(check (list int)) "split pair" [ 2; 3 ]
+    (List.sort compare (Association.locs_of a (oid 2)));
+  Alcotest.(check (list int)) "whole" [ 3 ] (Association.locs_of a (oid 3));
+  let halves idx =
+    List.map
+      (fun (e : Association.entry) -> (Oid.to_int e.oid, e.half))
+      (Association.entries a idx)
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair int bool))) "chunk 3"
+    [ (1, false); (2, true); (3, false) ]
+    (halves 3);
+  Alcotest.(check (list (pair int bool))) "chunk 2" [ (2, true) ] (halves 2);
+  (* the split pair collapses one step later *)
+  Association.merge_step a;
+  Alcotest.(check (list int)) "collapsed later" [ 1 ]
+    (Association.locs_of a (oid 2));
+  check_int "sum" 18 (Association.sum a 1);
+  Association.check_invariants a
+
+let test_three_locations () =
+  let a = Association.create ~chunk_log:3 ~ell:2 in
+  Association.assoc_whole a (oid 1) ~obj_size:4 ~chunk:0;
+  Alcotest.check_raises "third location"
+    (Invalid_argument "Association: more than two locations") (fun () ->
+      Association.assoc_halves a (oid 1) ~obj_size:8 ~chunk1:1 ~chunk2:2);
+  check_int "third chunk untouched" 0 (Association.sum a 2);
+  Alcotest.(check (list int)) "two locs kept" [ 0; 1 ]
+    (List.sort compare (Association.locs_of a (oid 1)))
+
 let test_potential () =
   let a = Association.create ~chunk_log:3 ~ell:2 in
   let n = 64 in
@@ -119,16 +180,31 @@ let test_create_validation () =
     (Invalid_argument "Association.create: need l >= 1") (fun () ->
       ignore (Association.create ~chunk_log:3 ~ell:0))
 
+(* The chunks whose entries hold an oid, one per entry, found by a scan
+   of every chunk. *)
+let scanned_locs a o =
+  List.concat_map
+    (fun idx ->
+      List.filter_map
+        (fun (e : Association.entry) ->
+          if Oid.to_int e.oid = o then Some idx else None)
+        (Association.entries a idx))
+    (Association.chunk_indices a)
+  |> List.sort compare
+
 (* Random association scripts keep the structural invariants — checked
    after every step, and the scripts also exercise [merge_step] (the
-   between-steps chunk-size doubling of PF). *)
+   between-steps chunk-size doubling of PF). After every step [locs_of]
+   must name exactly the chunks a scan finds each oid in. Oids start
+   near the location arrays' initial capacity, so scripts grow them. *)
 let prop_random_scripts =
   QCheck.Test.make ~name:"random scripts keep invariants" ~count:50
     QCheck.(pair (int_bound 100_000) (int_range 5 80))
     (fun (seed, steps) ->
       let st = Random.State.make [| seed |] in
       let a = Association.create ~chunk_log:3 ~ell:2 in
-      let next = ref 0 in
+      let first = 200 in
+      let next = ref first in
       for _ = 1 to steps do
         (match Random.State.int st 6 with
         | 0 ->
@@ -159,7 +235,12 @@ let prop_random_scripts =
         | _ ->
             (* keep chunk sizes bounded across long scripts *)
             if Association.chunk_log a < 16 then Association.merge_step a);
-        Association.check_invariants a
+        Association.check_invariants a;
+        for o = first + 1 to !next do
+          if List.sort compare (Association.locs_of a (oid o))
+             <> scanned_locs a o
+          then QCheck.Test.fail_reportf "locs_of drifted for oid %d" o
+        done
       done;
       true)
 
@@ -175,6 +256,10 @@ let () =
           Alcotest.test_case "reset chunk" `Quick test_reset_chunk;
           Alcotest.test_case "middle set" `Quick test_middle_set;
           Alcotest.test_case "merge step" `Quick test_merge_step;
+          Alcotest.test_case "merge step locations" `Quick
+            test_merge_step_locations;
+          Alcotest.test_case "large oids" `Quick test_large_oids;
+          Alcotest.test_case "three locations" `Quick test_three_locations;
           Alcotest.test_case "potential" `Quick test_potential;
           Alcotest.test_case "validation" `Quick test_create_validation;
         ] );
